@@ -11,7 +11,7 @@
 //	           [-describe] [-dot FILE] [-sim] [-loss P]
 //	           [-metrics FILE] [-trace FILE] [-listen ADDR] [-pprof ADDR|DIR] [-manifest FILE]
 //	           [-flight FILE] [-flight-rules FILE] [-hold DURATION]
-//	           [-serve] [-serve-for D] [-serve-queue N] [-serve-workers N] [-serve-batch N]
+//	           [-serve] [-serve-for D] [-serve-queue N]
 //
 // -sim executes through the discrete-event mote simulator (reporting
 // latency and per-node energy) instead of the analytic executor;
@@ -42,13 +42,13 @@
 // Serving: -serve turns the process into a long-lived plan service
 // (internal/serve) instead of a one-shot run. The planning state is
 // frozen into snapshots at startup, and /plan answers concurrent
-// budget queries from a pool of warm-chain planner workers with
-// budget-sorted batching, request coalescing, and admission control
-// (see internal/serve). Requires -listen; -planner picks the default
-// kind (greedy, lp-lf, lp+lf, or proof — exact and naive are not
-// servable) and /plan?planner= overrides it per request. -serve-for
-// bounds the service lifetime (0: until SIGINT/SIGTERM); -serve-queue,
-// -serve-workers, and -serve-batch tune admission and dispatch. With
+// budget queries from one warm-chain planner worker per planner kind,
+// with request coalescing and admission control (see internal/serve).
+// Requires -listen; -planner picks the default kind (greedy, lp-lf,
+// lp+lf, or proof — exact and naive are not servable) and
+// /plan?planner= overrides it per request. -serve-for bounds the
+// service lifetime (0: until SIGINT/SIGTERM); -serve-queue is the
+// admission bound. With
 // -flight but no -flight-rules, the serving tier's stock rules
 // (queue saturation, any shed, p99 solve latency) arm the recorder.
 package main
@@ -151,11 +151,9 @@ func run() (err error) {
 		flightRls  = flag.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
 		hold       = flag.Duration("hold", 0, "keep the -listen endpoints up this long after the run completes")
 
-		serveMode    = flag.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
-		serveFor     = flag.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
-		serveQueue   = flag.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
-		serveWorkers = flag.Int("serve-workers", 1, "plan service workers (warm chains) per planner key")
-		serveBatch   = flag.Int("serve-batch", 16, "max requests one worker dispatch serves as a single sorted sweep")
+		serveMode  = flag.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
+		serveFor   = flag.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
+		serveQueue = flag.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
 	)
 	flag.Parse()
 	if *serveMode && *listen == "" {
@@ -292,7 +290,7 @@ func run() (err error) {
 	if *serveMode {
 		return serveLoop(ocli, mon, cfg, serveSettings{
 			listen: *listen, kind: *planner, seed: *seed, nodes: *nodes, k: *k,
-			queue: *serveQueue, workers: *serveWorkers, batch: *serveBatch, dur: *serveFor,
+			queue: *serveQueue, dur: *serveFor,
 		})
 	}
 
@@ -380,11 +378,10 @@ func run() (err error) {
 
 // serveSettings carries the -serve* flags into serveLoop.
 type serveSettings struct {
-	listen, kind          string
-	seed                  int64
-	nodes, k              int
-	queue, workers, batch int
-	dur                   time.Duration
+	listen, kind    string
+	seed            int64
+	nodes, k, queue int
+	dur             time.Duration
 }
 
 // serveLoop runs the process as a plan service: freeze the planning
@@ -429,8 +426,7 @@ func serveLoop(ocli *obs.CLI, mon *telemetry.Monitor, cfg core.Config, st serveS
 		return getSnap(key.Planner)
 	}
 	svc, err := serve.New(serve.Options{
-		QueueDepth: st.queue, WorkersPerKey: st.workers, BatchMax: st.batch,
-		Now: time.Now, Obs: cfg.Obs,
+		QueueDepth: st.queue, Now: time.Now, Obs: cfg.Obs,
 	}, provider)
 	if err != nil {
 		return err

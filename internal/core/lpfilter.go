@@ -40,11 +40,9 @@ type LPFilter struct {
 
 // lpfilterProgram is the built LP+LF model plus what rounding needs.
 type lpfilterProgram struct {
-	model     *lp.Model
-	budgetRow int
-	bs        []lp.VarID
-	caps      []float64
-	empty     bool
+	lpProgram
+	bs   []lp.VarID
+	caps []float64
 }
 
 // NewLPFilter builds the planner.
@@ -64,28 +62,12 @@ func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	var prog lpfilterProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildLPFilterProgram(cfg, budget)
-		if !prog.empty {
-			sol, err = cfg.solveLP(prog.model)
-		}
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildLPFilterProgram(cfg, budget)
-			if p.prog.empty {
-				p.param.installEmpty(cfg)
-			} else {
-				p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-			}
-		}
-		prog = p.prog
-		if !prog.empty {
-			sol, err = p.param.solve(cfg, budget)
-		}
+	if !p.param.fresh(cfg) {
+		p.prog = buildLPFilterProgram(cfg, budget)
+		p.param.install(cfg, p.prog.lpProgram)
 	}
+	prog := p.prog
+	sol, err := p.param.solve(cfg, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +159,7 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		}
 	}
 	if len(costTerms) == 0 {
-		return lpfilterProgram{empty: true}
+		return lpfilterProgram{lpProgram: lpProgram{empty: true}}
 	}
 	budgetRow := m.MustConstr(costTerms, lp.LE, budget)
 
@@ -208,7 +190,7 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		}
 	}
 
-	return lpfilterProgram{model: m, budgetRow: budgetRow, bs: bs, caps: caps}
+	return lpfilterProgram{lpProgram: lpProgram{model: m, budgetRow: budgetRow}, bs: bs, caps: caps}
 }
 
 // enforceMonotone zeroes any bandwidth whose path to the root crosses

@@ -40,11 +40,9 @@ type LPNoFilter struct {
 
 // lplfProgram is the built LP-LF model plus what rounding needs.
 type lplfProgram struct {
-	model     *lp.Model
-	budgetRow int
-	xs        []lp.VarID
-	cands     []network.NodeID
-	empty     bool
+	lpProgram
+	xs    []lp.VarID
+	cands []network.NodeID
 }
 
 // NewLPNoFilter builds the planner.
@@ -64,28 +62,12 @@ func (p *LPNoFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	var prog lplfProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildLPNoFilterProgram(cfg, budget)
-		if !prog.empty {
-			sol, err = cfg.solveLP(prog.model)
-		}
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildLPNoFilterProgram(cfg, budget)
-			if p.prog.empty {
-				p.param.installEmpty(cfg)
-			} else {
-				p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-			}
-		}
-		prog = p.prog
-		if !prog.empty {
-			sol, err = p.param.solve(cfg, budget)
-		}
+	if !p.param.fresh(cfg) {
+		p.prog = buildLPNoFilterProgram(cfg, budget)
+		p.param.install(cfg, p.prog.lpProgram)
 	}
+	prog := p.prog
+	sol, err := p.param.solve(cfg, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -167,10 +149,10 @@ func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
 		}
 	}
 	if len(costTerms) == 0 {
-		return lplfProgram{empty: true}
+		return lplfProgram{lpProgram: lpProgram{empty: true}}
 	}
 	row := m.MustConstr(costTerms, lp.LE, budget)
-	return lplfProgram{model: m, budgetRow: row, xs: xs, cands: cands}
+	return lplfProgram{lpProgram: lpProgram{model: m, budgetRow: row}, xs: xs, cands: cands}
 }
 
 // repairSelection drops chosen nodes — least column sum first, ties by

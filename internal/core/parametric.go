@@ -30,12 +30,27 @@ const tieEps = 1e-5
 //
 // The cache is keyed on the sample window's mutation generation
 // (sample.Set.Gen): the adaptive runner slides the window in place, so
-// any observed mutation rebuilds the program. A paramLP (and therefore
-// any planner holding one) is not safe for concurrent use; experiment
-// trials each build their own planners.
+// any observed mutation rebuilds the program. Under cfg.DisableWarm
+// the cache is never fresh, so every Plan call rebuilds and solves
+// cold — the reference side of the warm-vs-cold differential tests.
+// A paramLP (and therefore any planner holding one) is not safe for
+// concurrent use; experiment trials each build their own planners.
 //
 //confine:goroutine
 type paramLP struct {
+	prog  lpProgram
+	ws    *lp.Workspace
+	basis *lp.Basis
+	gen   uint64
+	built bool
+	// own enforces the //confine:goroutine contract dynamically under
+	// the prospector_debug build tag; zero-cost otherwise.
+	own owner
+}
+
+// lpProgram is the budget-parametric part every LP planner's program
+// shares; the planners embed it next to what their rounding needs.
+type lpProgram struct {
 	model *lp.Model
 	// budgetRow is the retained index of the cost row, or -1 when the
 	// model has no budget row to update (degenerate all-zero costs).
@@ -44,46 +59,37 @@ type paramLP struct {
 	// variable terms (PROOF's mandatory per-edge messages); the row's
 	// rhs is budget - fixed.
 	fixed float64
-	ws    *lp.Workspace
-	basis *lp.Basis
-	gen   uint64
-	built bool
-	empty bool // no candidates: Plan short-circuits without a model
-	// own enforces the //confine:goroutine contract dynamically under
-	// the prospector_debug build tag; zero-cost otherwise.
-	own owner
+	empty bool // no candidates: no model, the empty plan is optimal
 }
 
 // fresh reports whether the cached program still describes cfg's
-// sample window.
+// sample window and may be re-solved warm.
 func (c *paramLP) fresh(cfg Config) bool {
 	c.own.assert("parametric planner")
-	return c.built && c.gen == cfg.Samples.Gen()
+	return c.built && !cfg.DisableWarm && c.gen == cfg.Samples.Gen()
 }
 
-// install caches a freshly built model. The workspace survives
+// install caches a freshly built program. The workspace survives
 // rebuilds (its buffers re-grow at most once per shape); the basis
 // chain does not.
-func (c *paramLP) install(cfg Config, model *lp.Model, budgetRow int, fixed float64) {
-	c.model = model
-	c.budgetRow = budgetRow
-	c.fixed = fixed
+func (c *paramLP) install(cfg Config, prog lpProgram) {
+	c.prog = prog
 	if c.ws == nil {
 		c.ws = lp.NewWorkspace()
 	}
 	c.basis = nil
 	c.gen = cfg.Samples.Gen()
 	c.built = true
-	c.empty = false
 }
 
-// installEmpty caches the "no candidates" outcome, which needs no LP.
-func (c *paramLP) installEmpty(cfg Config) {
-	c.model = nil
-	c.basis = nil
-	c.gen = cfg.Samples.Gen()
-	c.built = true
-	c.empty = true
+// adopt installs a private clone of a prebuilt program (a Snapshot's)
+// and points prog at the clone, so the first solve skips the build but
+// never shares LP state with another planner.
+func (c *paramLP) adopt(cfg Config, prog *lpProgram) {
+	if !prog.empty {
+		prog.model = prog.model.Clone()
+	}
+	c.install(cfg, *prog)
 }
 
 // solve points the budget row at the new budget and re-solves: warm
@@ -91,7 +97,9 @@ func (c *paramLP) installEmpty(cfg Config) {
 // non-optimal outcome (an IterationLimit mid-chain, a numerically
 // wedged basis) breaks the chain and falls back to the legacy presolve
 // path on the same mutated model, which also re-arms the next call to
-// start a fresh chain.
+// start a fresh chain. An empty program returns a nil solution; under
+// cfg.DisableWarm the program was just built at this budget and goes
+// straight to the legacy path.
 //
 // The steady state — an intact chain served warm, no tracing — is the
 // figure sweeps' inner loop and stays off the heap; the blessed call
@@ -101,9 +109,16 @@ func (c *paramLP) installEmpty(cfg Config) {
 //alloc:none
 func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	c.own.assert("parametric planner")
-	if c.budgetRow >= 0 {
+	if c.prog.empty {
+		return nil, nil
+	}
+	if cfg.DisableWarm {
+		//alloc:amortized the cold reference path never runs in a warm chain
+		return cfg.solveLP(c.prog.model)
+	}
+	if c.prog.budgetRow >= 0 {
 		//alloc:amortized SetRHS writes one float in place; it allocates only to construct an invalid-row error
-		if err := c.model.SetRHS(c.budgetRow, budget-c.fixed); err != nil {
+		if err := c.prog.model.SetRHS(c.prog.budgetRow, budget-c.prog.fixed); err != nil {
 			return nil, err
 		}
 	}
@@ -112,7 +127,7 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	opts.KeepBasis = true
 	opts.Warm = c.basis
 	//alloc:amortized first solve and broken-chain recovery run cold; warm re-solves reuse the workspace (lp's annotated warm chain, BenchmarkWarmResolveSteadyState)
-	sol, err := c.model.Solve(opts)
+	sol, err := c.prog.model.Solve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,5 +137,5 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	}
 	c.basis = nil
 	//alloc:amortized chain-break fallback re-solves cold through presolve; it never runs in an intact warm chain
-	return cfg.solveLP(c.model)
+	return cfg.solveLP(c.prog.model)
 }

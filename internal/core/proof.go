@@ -45,15 +45,12 @@ type ProofPlanner struct {
 	prog     proofProgram
 }
 
-// proofProgram is the built PROOF model plus what rounding needs.
+// proofProgram is the built PROOF model plus what rounding needs. Its
+// fixed spend is the every-edge messages plus proof metadata, already
+// subtracted from the cost row's rhs; it is never empty.
 type proofProgram struct {
-	model *lp.Model
-	// budgetRow is the cost row's retained index; fixed is the mandatory
-	// spend (every-edge messages + proof metadata) already subtracted
-	// from its rhs.
-	budgetRow int
-	fixed     float64
-	bs        []lp.VarID
+	lpProgram
+	bs []lp.VarID
 }
 
 // NewProofPlanner builds the planner with the strict c.3 linearization.
@@ -100,20 +97,12 @@ func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
 		return nil, fmt.Errorf("core: proof plans need at least %.2f mJ, budget is %.2f", min, budget)
 	}
 
-	var prog proofProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildProofProgram(cfg, p.strictC3, budget)
-		sol, err = cfg.solveLP(prog.model)
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildProofProgram(cfg, p.strictC3, budget)
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
-		}
-		prog = p.prog
-		sol, err = p.param.solve(cfg, budget)
+	if !p.param.fresh(cfg) {
+		p.prog = buildProofProgram(cfg, p.strictC3, budget)
+		p.param.install(cfg, p.prog.lpProgram)
 	}
+	prog := p.prog
+	sol, err := p.param.solve(cfg, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +140,7 @@ func buildProofProgram(cfg Config, strictC3 bool, budget float64) proofProgram {
 	}
 	b.addBandwidthRows()
 	row, fixed := b.addCostRow(budget)
-	return proofProgram{model: b.m, budgetRow: row, fixed: fixed, bs: b.bs}
+	return proofProgram{lpProgram: lpProgram{model: b.m, budgetRow: row, fixed: fixed}, bs: b.bs}
 }
 
 // ExpectedProven simulates the proof-carrying execution of a bandwidth

@@ -104,12 +104,7 @@ func (s *Snapshot) NewPlanner() (Planner, error) {
 			return nil, err
 		}
 		p.prog = s.lplf
-		if s.lplf.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.prog.model = s.lplf.model.Clone()
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
+		p.param.adopt(cfg, &p.prog.lpProgram)
 		return p, nil
 	case KindLPFilter:
 		p, err := NewLPFilter(cfg)
@@ -117,12 +112,7 @@ func (s *Snapshot) NewPlanner() (Planner, error) {
 			return nil, err
 		}
 		p.prog = s.lpf
-		if s.lpf.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.prog.model = s.lpf.model.Clone()
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
+		p.param.adopt(cfg, &p.prog.lpProgram)
 		return p, nil
 	case KindProof:
 		p, err := NewProofPlanner(cfg)
@@ -130,8 +120,7 @@ func (s *Snapshot) NewPlanner() (Planner, error) {
 			return nil, err
 		}
 		p.prog = s.prf
-		p.prog.model = s.prf.model.Clone()
-		p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
+		p.param.adopt(cfg, &p.prog.lpProgram)
 		return p, nil
 	}
 	return nil, fmt.Errorf("core: unknown snapshot kind %q", s.kind)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -27,8 +28,9 @@ import (
 //	planner      planner kind (default the base key's); unknown kinds
 //	             are rejected by the provider with 400
 //	k            rank bound (default the base key's)
-//	budget       energy budget in mJ, required, > 0
-//	deadline_ms  per-request deadline; 0 or absent means none
+//	budget       energy budget in mJ, required, finite and > 0
+//	deadline_ms  per-request deadline, finite and within
+//	             time.Duration's range; 0 or absent means none
 //
 // Status mapping: 200 a plan; 400 bad parameters or an unknown
 // (planner, k); 429 the deadline passed before a worker dispatched
@@ -64,15 +66,15 @@ func Handler(s *Service, base Key) http.Handler {
 			key.K = k
 		}
 		budget, err := strconv.ParseFloat(q.Get("budget"), 64)
-		if err != nil || budget <= 0 {
-			http.Error(w, "serve: budget must be a positive number", http.StatusBadRequest)
+		if err != nil || math.IsNaN(budget) || math.IsInf(budget, 0) || budget <= 0 {
+			http.Error(w, "serve: budget must be a finite positive number", http.StatusBadRequest)
 			return
 		}
 		var deadline time.Time
 		if ds := q.Get("deadline_ms"); ds != "" {
 			ms, err := strconv.ParseFloat(ds, 64)
-			if err != nil || ms < 0 {
-				http.Error(w, "serve: bad deadline_ms: must be a non-negative number", http.StatusBadRequest)
+			if err != nil || math.IsNaN(ms) || ms < 0 || ms >= maxDeadlineMS {
+				http.Error(w, "serve: bad deadline_ms: must be a non-negative number within time.Duration's range", http.StatusBadRequest)
 				return
 			}
 			if ms > 0 {
@@ -108,6 +110,11 @@ func Handler(s *Service, base Key) http.Handler {
 		})
 	})
 }
+
+// maxDeadlineMS is the whole milliseconds a time.Duration can hold:
+// deadline_ms must stay below it, or converting it to nanoseconds
+// would overflow into a deadline in the past.
+const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
 
 // ReadyHandler answers readiness for a serving process: ready only
 // when the telemetry collector has ticked (the plain telemetry

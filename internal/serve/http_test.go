@@ -82,6 +82,13 @@ func TestHTTPPlanOK(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("planner override: status %d, body %s", status, body)
 	}
+
+	// A deadline decades out, still inside time.Duration's range, is a
+	// real deadline that has not passed.
+	status, body, _ = get(t, srv.URL+"/plan?budget=120&deadline_ms=9223372036853")
+	if status != http.StatusOK {
+		t.Fatalf("long deadline: status %d, body %s", status, body)
+	}
 }
 
 func TestHTTPPlanBadRequests(t *testing.T) {
@@ -97,6 +104,14 @@ func TestHTTPPlanBadRequests(t *testing.T) {
 		{"unknown planner kind", "budget=50&planner=oracle"},
 		{"wrong k for snapshot", "budget=50&k=9"},
 		{"bad deadline", "budget=50&deadline_ms=-1"},
+		{"NaN budget", "budget=NaN&planner=greedy"},
+		{"NaN budget on an LP planner", "budget=NaN"},
+		{"infinite budget", "budget=Inf"},
+		{"negative infinite budget", "budget=-Inf"},
+		{"NaN deadline", "budget=50&deadline_ms=NaN"},
+		{"infinite deadline", "budget=50&deadline_ms=Inf"},
+		{"deadline beyond time.Duration", "budget=50&deadline_ms=1e300"},
+		{"deadline just past time.Duration", "budget=50&deadline_ms=9223372036855"},
 	} {
 		status, body, _ := get(t, srv.URL+"/plan?"+tc.query)
 		if status != http.StatusBadRequest {

@@ -11,7 +11,8 @@ import (
 //
 //	serve.requests        counter, submissions (before admission)
 //	serve.coalesced       counter, requests answered by another
-//	                      request's solve (equal budget, same batch)
+//	                      request's solve (equal budget, same worker's
+//	                      last solve — within or across dispatches)
 //	serve.shed.full       counter, sheds over the queue-depth bound
 //	serve.shed.deadline   counter, sheds at dispatch past the deadline
 //	serve.shed.closed     counter, rejections after Close

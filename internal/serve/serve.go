@@ -5,16 +5,18 @@
 //
 // Requests are keyed by (network, sample generation, planner kind, k)
 // — the identity of one frozen planning state (core.Snapshot). Per
-// key, the service keeps a budget-sorted pending queue and a fixed
+// key, the service keeps one buffered request channel and a fixed
 // pool of warm-chain workers, each owning a planner stamped from the
 // shared snapshot (own model clone, own lp.Workspace, own basis
-// chain). A worker dispatch takes the lowest-budget prefix of the
-// queue as one batch: ascending budgets keep the dual-simplex
-// recovery short, and requests for bitwise-identical budgets coalesce
-// into a single solve whose plan (immutable, see internal/plan) is
-// shared across all their responses. Admission control is a bounded
-// total queue depth — submissions beyond it shed immediately with
-// ErrQueueFull — plus a per-request deadline judged at dispatch time.
+// chain). A worker dispatch takes the next request plus whatever is
+// already buffered (up to BatchMax) and serves it in ascending budget
+// order, which keeps the dual-simplex recovery short; dispatches
+// follow arrival order. Requests for bitwise-identical budgets
+// coalesce into a single solve whose plan (immutable, see
+// internal/plan) is shared across all their responses. Admission
+// control is a bounded total queue depth — submissions beyond it shed
+// immediately with ErrQueueFull — plus a per-request deadline judged
+// at dispatch time.
 //
 // The service never reads the wall clock itself (this package is in
 // the determinism lint scope): the owner injects one via Options.Now,
@@ -22,10 +24,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,15 +111,6 @@ type response struct {
 	err  error
 }
 
-// keyState is one key's queue and pool. Every field is guarded by the
-// owning Service's mu; the cond shares that mutex.
-type keyState struct {
-	cond *sync.Cond
-	// queue is kept sorted by ascending budget (FIFO within equal
-	// budgets), so a dispatch prefix is already one warm sweep.
-	queue []*request
-}
-
 // Service is the plan-serving pool. Construct with New, retire with
 // Close; safe for concurrent use.
 type Service struct {
@@ -126,12 +119,17 @@ type Service struct {
 	m        *metrics
 
 	mu sync.Mutex
+	// keys maps each open key to its request channel. Every channel has
+	// capacity QueueDepth and every buffered request counts toward
+	// pending, so a send made under mu after the admission check never
+	// blocks.
 	//guarded-by:mu
-	keys map[Key]*keyState
-	// states mirrors keys in insertion order, so shutdown walks the
-	// pools deterministically instead of in map order.
+	keys map[Key]chan *request
+	// queues mirrors keys in open order, so Close closes the channels
+	// deterministically instead of in map order.
 	//guarded-by:mu
-	states []*keyState
+	queues []chan *request
+	// pending counts admitted requests no worker has taken yet.
 	//guarded-by:mu
 	pending int
 	//guarded-by:mu
@@ -165,7 +163,7 @@ func New(opts Options, provider Provider) (*Service, error) {
 		opts:     opts,
 		provider: provider,
 		m:        newMetrics(opts.Obs),
-		keys:     make(map[Key]*keyState),
+		keys:     make(map[Key]chan *request),
 	}, nil
 }
 
@@ -181,11 +179,11 @@ func (s *Service) Submit(key Key, budget float64, deadline time.Time) (*plan.Pla
 		s.m.shed(s.m.shedClosed)
 		return nil, ErrClosed
 	}
-	ks := s.keys[key]
+	q := s.keys[key]
 	s.mu.Unlock()
-	if ks == nil {
+	if q == nil {
 		var err error
-		if ks, err = s.openKey(key); err != nil {
+		if q, err = s.openKey(key); err != nil {
 			return nil, err
 		}
 	}
@@ -202,27 +200,21 @@ func (s *Service) Submit(key Key, budget float64, deadline time.Time) (*plan.Pla
 		s.m.shed(s.m.shedFull)
 		return nil, ErrQueueFull
 	}
-	// Insert after the run of equal budgets: the queue stays sorted
-	// ascending and equal budgets stay FIFO.
-	i := sort.Search(len(ks.queue), func(i int) bool { return ks.queue[i].budget > budget })
-	ks.queue = append(ks.queue, nil)
-	copy(ks.queue[i+1:], ks.queue[i:])
-	ks.queue[i] = req
 	s.pending++
 	s.m.queueDepth.Set(float64(s.pending))
-	ks.cond.Signal()
+	q <- req // never blocks: see Service.keys; closed is false, so q is open
 	s.mu.Unlock()
 
 	resp := <-req.done
 	return resp.plan, resp.err
 }
 
-// openKey resolves the provider and publishes the key's state,
-// spawning its worker pool. The provider call and the planner
+// openKey resolves the provider and publishes the key's request
+// channel, spawning its worker pool. The provider call and the planner
 // stamping run outside the lock — both may build or clone a whole LP
 // — so a racing submitter can win publication; the loser's planners
 // are discarded.
-func (s *Service) openKey(key Key) (*keyState, error) {
+func (s *Service) openKey(key Key) (chan *request, error) {
 	src, err := s.provider(key)
 	if err != nil {
 		s.m.keyErrors.Inc()
@@ -243,13 +235,13 @@ func (s *Service) openKey(key Key) (*keyState, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if ks := s.keys[key]; ks != nil {
+	if q := s.keys[key]; q != nil {
 		s.mu.Unlock()
-		return ks, nil
+		return q, nil
 	}
-	ks := &keyState{cond: sync.NewCond(&s.mu)}
-	s.keys[key] = ks
-	s.states = append(s.states, ks)
+	q := make(chan *request, s.opts.QueueDepth) // sized so admitted sends never block; see Service.keys
+	s.keys[key] = q
+	s.queues = append(s.queues, q)
 	s.m.keys.Set(float64(len(s.keys)))
 	for _, pl := range planners {
 		s.wg.Add(1)
@@ -258,66 +250,43 @@ func (s *Service) openKey(key Key) (*keyState, error) {
 		// worker whole; nothing here touches it again. The `go` statement
 		// is the happens-before edge.
 		//confine:transfer worker takes sole ownership of its freshly stamped planner; the spawning goroutine drops every reference
-		go s.worker(ks, pl)
+		go s.worker(q, pl)
 	}
 	s.mu.Unlock()
-	return ks, nil
+	return q, nil
 }
 
-// worker serves one key: wait for pending requests, take the sorted
-// prefix as a batch, serve it outside the lock, repeat. On Close it
-// drains the remaining queue, then exits; Close joins via wg.
-func (s *Service) worker(ks *keyState, pl core.Planner) {
+// worker serves one key: receive a request, take what else is
+// already buffered (up to BatchMax) without waiting, serve the batch,
+// repeat. After Close closes q it drains the buffer and exits.
+func (s *Service) worker(q <-chan *request, pl core.Planner) {
 	defer s.wg.Done()
 	defer s.m.workers.Add(-1)
 	batch := make([]*request, 0, s.opts.BatchMax)
 	var memo sweepMemo
-	for {
+	for r := range q {
+		batch = append(batch[:0], r)
+	gather:
+		for len(batch) < s.opts.BatchMax {
+			select {
+			case r, ok := <-q:
+				if !ok {
+					break gather
+				}
+				batch = append(batch, r)
+			default:
+				break gather
+			}
+		}
 		s.mu.Lock()
-		for len(ks.queue) == 0 && !s.closed {
-			ks.cond.Wait()
-		}
-		if len(ks.queue) == 0 {
-			s.mu.Unlock()
-			return // closed and drained
-		}
-		// Group-commit gather: a freshly woken worker usually sees only
-		// the first request of a concurrent wave — especially on few
-		// cores, where the scheduler alternates one submitter with the
-		// worker and every batch would degenerate to size 1, solving
-		// per-request with nothing to coalesce. Yield a bounded number
-		// of times so the rest of the wave can enqueue; stop as soon as
-		// a yield adds nothing, the batch is full, or we're closing.
-		for y := 0; y < gatherYields && len(ks.queue) < s.opts.BatchMax && !s.closed; y++ {
-			s.mu.Unlock()
-			runtime.Gosched()
-			s.mu.Lock()
-		}
-		if len(ks.queue) == 0 {
-			s.mu.Unlock()
-			continue // another worker on this key drained the wave
-		}
-		n := len(ks.queue)
-		if n > s.opts.BatchMax {
-			n = s.opts.BatchMax
-		}
-		batch = append(batch[:0], ks.queue[:n]...)
-		rest := copy(ks.queue, ks.queue[n:])
-		for j := rest; j < len(ks.queue); j++ {
-			ks.queue[j] = nil // release served requests to the GC
-		}
-		ks.queue = ks.queue[:rest]
-		s.pending -= n
+		s.pending -= len(batch)
 		s.m.queueDepth.Set(float64(s.pending))
 		s.mu.Unlock()
+		// Stable: equal budgets keep arrival order.
+		slices.SortStableFunc(batch, func(a, b *request) int { return cmp.Compare(a.budget, b.budget) })
 		s.serveBatch(pl, batch, &memo)
 	}
 }
-
-// gatherYields bounds the group-commit gather loop: at most this many
-// scheduler yields per dispatch, and only while each yield is still
-// growing the batch.
-const gatherYields = 4
 
 // sweepMemo is the tail of a worker's last coalescing run: the most
 // recent (budget, plan) it solved. It outlives the batch because a
@@ -326,7 +295,8 @@ const gatherYields = 4
 // duplicate budget arriving in the NEXT dispatch still shares the
 // solve. That matters on few-core hosts, where lockstep clients
 // trickle in one at a time and same-budget requests rarely sit in one
-// batch together.
+// batch together; it is what makes a dispatch that waits for nothing
+// still coalesce.
 type sweepMemo struct {
 	plan   *plan.Plan
 	budget float64
@@ -388,9 +358,11 @@ func (s *Service) Ready() error {
 // fail with ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
-	s.closed = true
-	for _, ks := range s.states {
-		ks.cond.Broadcast()
+	if !s.closed {
+		s.closed = true
+		for _, q := range s.queues {
+			close(q)
+		}
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

@@ -87,6 +87,9 @@ type blockingSource struct {
 	release chan struct{}
 	solves  atomic.Int64
 	plan    *plan.Plan
+
+	mu     sync.Mutex
+	solved []float64 // budgets in the order Plan finished them
 }
 
 func newBlockingSource(t *testing.T) *blockingSource {
@@ -118,6 +121,9 @@ func (p *blockingPlanner) Plan(budget float64) (*plan.Plan, error) {
 	p.src.started <- struct{}{}
 	<-p.src.release
 	p.src.solves.Add(1)
+	p.src.mu.Lock()
+	p.src.solved = append(p.src.solved, budget)
+	p.src.mu.Unlock()
 	if budget < 0 {
 		return nil, fmt.Errorf("blocking: negative budget %g", budget)
 	}
