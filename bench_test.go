@@ -510,32 +510,6 @@ func BenchmarkNetworkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPresolve ablates the LP presolve reductions on the PROOF
-// program, where chain/bandwidth structure collapses heavily.
-func BenchmarkPresolve(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"WithPresolve", false}, {"NoPresolve", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			s := benchGaussian(b, 21, 26, 5, 5)
-			s.cfg.DisablePresolve = v.disable
-			pp, err := core.NewProofPlanner(s.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			budget := pp.MinBudget() * 1.4
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.Plan(budget); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSimRun measures the discrete-event simulator against the
 // analytic executor on the same plan.
 func BenchmarkSimRun(b *testing.B) {

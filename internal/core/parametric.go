@@ -93,13 +93,13 @@ func (c *paramLP) adopt(cfg Config, prog *lpProgram) {
 }
 
 // solve points the budget row at the new budget and re-solves: warm
-// from the chained basis when one exists, cold-direct otherwise. Any
-// non-optimal outcome (an IterationLimit mid-chain, a numerically
-// wedged basis) breaks the chain and falls back to the legacy presolve
-// path on the same mutated model, which also re-arms the next call to
-// start a fresh chain. An empty program returns a nil solution; under
-// cfg.DisableWarm the program was just built at this budget and goes
-// straight to the legacy path.
+// from the chained basis when one exists, cold otherwise (a fresh
+// build, which under cfg.DisableWarm is every call). A non-optimal warm
+// outcome (an IterationLimit mid-chain, a numerically wedged basis) is
+// retried once cold on the same mutated model. The chain keeps the
+// final basis, which the solver captures only for an Optimal solve, so
+// any other outcome drops it and the next call starts a fresh chain.
+// An empty program returns a nil solution.
 //
 // The steady state — an intact chain served warm, no tracing — is the
 // figure sweeps' inner loop and stays off the heap; the blessed call
@@ -112,10 +112,6 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	if c.prog.empty {
 		return nil, nil
 	}
-	if cfg.DisableWarm {
-		//alloc:amortized the cold reference path never runs in a warm chain
-		return cfg.solveLP(c.prog.model)
-	}
 	if c.prog.budgetRow >= 0 {
 		//alloc:amortized SetRHS writes one float in place; it allocates only to construct an invalid-row error
 		if err := c.prog.model.SetRHS(c.prog.budgetRow, budget-c.prog.fixed); err != nil {
@@ -126,16 +122,16 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	opts.Workspace = c.ws
 	opts.KeepBasis = true
 	opts.Warm = c.basis
-	//alloc:amortized first solve and broken-chain recovery run cold; warm re-solves reuse the workspace (lp's annotated warm chain, BenchmarkWarmResolveSteadyState)
+	//alloc:amortized a chain-opening solve runs cold; warm re-solves reuse the workspace (lp's annotated warm chain, BenchmarkWarmResolveSteadyState)
 	sol, err := c.prog.model.Solve(opts)
+	if err == nil && sol.Status != lp.Optimal && opts.Warm != nil {
+		opts.Warm = nil
+		//alloc:amortized chain-break retry runs cold; it never runs in an intact warm chain
+		sol, err = c.prog.model.Solve(opts)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status == lp.Optimal {
-		c.basis = sol.Basis
-		return sol, nil
-	}
-	c.basis = nil
-	//alloc:amortized chain-break fallback re-solves cold through presolve; it never runs in an intact warm chain
-	return cfg.solveLP(c.prog.model)
+	c.basis = sol.Basis
+	return sol, nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prospector/internal/lp"
 	"prospector/internal/obs"
 	"prospector/internal/plan"
 	"prospector/internal/workload"
@@ -79,15 +80,9 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				// The cold reference rebuilds the model every call and
-				// cold-solves it directly. Presolve stays off on both
-				// sides: on degenerate programs the reduced model can
-				// land on a different optimal vertex (same objective,
-				// different rounding), which would mask what this test
-				// isolates — that the warm basis chain itself never
-				// changes the answer.
+				// cold-solves it directly.
 				coldCfg := s.cfg
 				coldCfg.DisableWarm = true
-				coldCfg.DisablePresolve = true
 				cold, err := tc.make(coldCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -155,6 +150,66 @@ func TestWarmChainIsActuallyWarm(t *testing.T) {
 	want := float64(warms) / float64(warms+colds)
 	if diff := rate - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("lp.warm_hit_rate = %g, want %g", rate, want)
+	}
+}
+
+// TestWarmIterationLimitRetriesCold pins the chain-break path: a warm
+// re-solve that ends non-optimal is retried once cold, the failed chain
+// is dropped, and the next Plan opens a fresh chain whose plan matches
+// the cold reference.
+func TestWarmIterationLimitRetriesCold(t *testing.T) {
+	s := makeScenario(t, 17, 40, 8, 10)
+	reg := obs.NewRegistry()
+	cfg := s.cfg
+	cfg.Obs = reg
+	p, err := NewLPNoFilter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []float64{30, 55} {
+		if _, err := p.Plan(b); err != nil {
+			t.Fatalf("budget %g: %v", b, err)
+		}
+	}
+	if p.param.basis == nil {
+		t.Fatal("no warm chain after two plans")
+	}
+	starved := cfg
+	starved.LP.MaxIters = 1
+	sol, err := p.param.solve(starved, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.IterationLimit {
+		t.Fatalf("starved solve status %v, want iteration-limit", sol.Status)
+	}
+	// One count for the warm attempt, one for its cold retry.
+	if n := reg.Counter("lp.status.iteration-limit").Value(); n != 2 {
+		t.Errorf("lp.status.iteration-limit = %d, want 2", n)
+	}
+	if p.param.basis != nil {
+		t.Error("a non-optimal solve kept the warm chain")
+	}
+
+	got, err := p.Plan(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.param.basis == nil {
+		t.Error("the plan after a chain break did not re-arm the chain")
+	}
+	coldCfg := s.cfg
+	coldCfg.DisableWarm = true
+	cold, err := NewLPNoFilter(coldCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Plan(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEqual(got, want) {
+		t.Error("plan after the chain break != cold reference")
 	}
 }
 
@@ -256,7 +311,6 @@ func TestWarmPlannerReuseAcrossKinds(t *testing.T) {
 	}
 	coldCfg := s.cfg
 	coldCfg.DisableWarm = true
-	coldCfg.DisablePresolve = true
 	coldLplf, _ := NewLPNoFilter(coldCfg)
 	coldLpf, _ := NewLPFilter(coldCfg)
 	for i, budget := range []float64{40, 70, 110, 180} {

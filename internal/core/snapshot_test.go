@@ -44,7 +44,6 @@ func TestSnapshotPlannerMatchesCold(t *testing.T) {
 			}
 			coldCfg := s.cfg
 			coldCfg.DisableWarm = true
-			coldCfg.DisablePresolve = true
 			cold, err := tc.make(coldCfg)
 			if err != nil {
 				t.Fatal(err)

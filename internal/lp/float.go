@@ -7,7 +7,7 @@ package lp
 // sparsity (a tolerance there would silently drop small entries) and
 // detects fixed variables by identical bounds. Any comparison that
 // should absorb rounding error must spell out its tolerance instead
-// (see Options.Tol and the checks in check.go).
+// (see solveTol and the checks in check.go).
 
 // isZero reports whether x is exactly zero. NaN is not zero.
 func isZero(x float64) bool { return x == 0 }

@@ -23,10 +23,6 @@ import (
 //	                           cold_solves + warm_fallbacks), kept
 //	                           current per solve so end-of-run snapshots
 //	                           and the live exposition agree
-//	lp.presolve.runs           counter, one per SolveWithPresolve call
-//	lp.presolve.rows_removed   counter, constraint rows eliminated
-//	lp.presolve.vars_fixed     counter, variables pinned by reductions
-//	lp.presolve.solved_outright counter, models presolve closed alone
 
 // solveSecondsBounds buckets solve wall time from 10µs to 10s.
 var solveSecondsBounds = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
@@ -113,30 +109,5 @@ func recordSolve(opts Options, sol *Solution, elapsed time.Duration, timed bool,
 		} else {
 			opts.Trace.Span("lp.solve", 0, 0, fields...)
 		}
-	}
-}
-
-// recordPresolve publishes one presolve pass's reductions; no-op when
-// r is nil.
-func recordPresolve(r *obs.Registry, red *reduction, solvedOutright bool) {
-	if r == nil {
-		return
-	}
-	rowsRemoved, varsFixed := 0, 0
-	for _, live := range red.rowLive {
-		if !live {
-			rowsRemoved++
-		}
-	}
-	for _, f := range red.fixed {
-		if f {
-			varsFixed++
-		}
-	}
-	r.Counter("lp.presolve.runs").Inc()
-	r.Counter("lp.presolve.rows_removed").Add(int64(rowsRemoved))
-	r.Counter("lp.presolve.vars_fixed").Add(int64(varsFixed))
-	if solvedOutright {
-		r.Counter("lp.presolve.solved_outright").Inc()
 	}
 }

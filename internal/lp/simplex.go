@@ -45,6 +45,10 @@ const (
 	Bland
 )
 
+// solveTol is the solver's feasibility and optimality tolerance. The
+// planners' tie-break perturbation (core's tieEps) is sized against it.
+const solveTol = 1e-7
+
 // Options tunes the solver. The zero value gives sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across both phases; 0 means
@@ -53,8 +57,6 @@ type Options struct {
 	// the count, so a fallback solve is never budget-starved by the
 	// failed warm attempt.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-7.
-	Tol float64
 	// Pricing selects the entering rule; default Dantzig.
 	Pricing Pricing
 	// RefactorEvery overrides the pivot budget between explicit basis
@@ -97,9 +99,6 @@ type Options struct {
 func (o Options) withDefaults(rows int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 5000 + 50*rows
-	}
-	if isZero(o.Tol) {
-		o.Tol = 1e-7
 	}
 	return o
 }
@@ -164,7 +163,6 @@ type solver struct {
 	p1c   []float64 // phase-1 cost vector
 	mat   []float64 // refactorization scratch (reused, not reallocated)
 
-	tol      float64
 	opts     Options
 	iters    int
 	maxIt    int
@@ -263,7 +261,7 @@ func (s *solver) run() Status {
 		s.xB[r] = math.Abs(resid[r])
 		s.hi[j] = Inf
 		s.p1c[j] = 1
-		if s.xB[r] > s.tol {
+		if s.xB[r] > solveTol {
 			needPhase1 = true
 		}
 	}
@@ -279,7 +277,7 @@ func (s *solver) run() Status {
 				infeas += s.xB[r]
 			}
 		}
-		if infeas > s.tol*float64(1+s.m) {
+		if infeas > solveTol*float64(1+s.m) {
 			return Infeasible
 		}
 	}
@@ -347,7 +345,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			}
 			return Unbounded
 		}
-		if t <= s.tol {
+		if t <= solveTol {
 			stall++
 		} else {
 			stall = 0
@@ -357,7 +355,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			s.applyBoundFlip(enter, sigma, t)
 			continue
 		}
-		if t <= s.tol {
+		if t <= solveTol {
 			s.degenerate++
 		}
 		// Leaving variable rests at whichever bound it hit: the basic
@@ -374,7 +372,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 // increase, -1 to decrease). Returns enter = -1 at optimality.
 func (s *solver) price(cost []float64, bland bool) (enter int, sigma float64) {
 	enter = -1
-	best := s.tol
+	best := solveTol
 	for j := 0; j < s.nTotal; j++ {
 		st := s.stat[j]
 		if st == basic || sameFloat(s.lo[j], s.hi[j]) {
@@ -389,13 +387,13 @@ func (s *solver) price(cost []float64, bland bool) (enter int, sigma float64) {
 		var dir float64
 		switch st {
 		case atLower:
-			improving, dir = d < -s.tol, 1
+			improving, dir = d < -solveTol, 1
 		case atUpper:
-			improving, dir = d > s.tol, -1
+			improving, dir = d > solveTol, -1
 		case nonbasicFree:
-			if d < -s.tol {
+			if d < -solveTol {
 				improving, dir = true, 1
-			} else if d > s.tol {
+			} else if d > solveTol {
 				improving, dir = true, -1
 			}
 		}

@@ -67,7 +67,7 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 	}
 	var st Status
 	switch {
-	case s.primalInfeasibility() <= s.tol:
+	case s.primalInfeasibility() <= solveTol:
 		// RHS unchanged or basic values still in range: the cached
 		// point is primal feasible, only pricing may be off.
 		st = s.iterate(s.c, false)
@@ -146,7 +146,7 @@ func (s *solver) adoptBasis(b *Basis, ws *Workspace) bool {
 }
 
 // primalInfeasibility returns the largest bound violation among basic
-// variables; <= tol means the adopted point is primal feasible.
+// variables; <= solveTol means the adopted point is primal feasible.
 func (s *solver) primalInfeasibility() float64 {
 	worst := 0.0
 	for r := 0; r < s.m; r++ {
@@ -174,15 +174,15 @@ func (s *solver) dualFeasible() bool {
 		d := s.reducedCost(s.c, j)
 		switch st {
 		case atLower:
-			if d < -s.tol {
+			if d < -solveTol {
 				return false
 			}
 		case atUpper:
-			if d > s.tol {
+			if d > solveTol {
 				return false
 			}
 		case nonbasicFree:
-			if math.Abs(d) > s.tol {
+			if math.Abs(d) > solveTol {
 				return false
 			}
 		}
@@ -220,7 +220,7 @@ func (s *solver) dualIterate() Status {
 		// Leaving row: most violated basic variable, and the bound it
 		// must land on.
 		leaveRow, leaveToUpper := -1, false
-		worst := s.tol
+		worst := solveTol
 		for r := 0; r < s.m; r++ {
 			bj := s.basis[r]
 			if d := s.lo[bj] - s.xB[r]; d > worst {
@@ -285,7 +285,7 @@ func (s *solver) dualIterate() Status {
 					s.applyBoundFlip(enter, sigma, span)
 					// The flips may already have carried the row to its
 					// bound (tolerance slack); if so, no pivot is owed.
-					if s.xB[leaveRow] >= s.lo[bj]-s.tol && s.xB[leaveRow] <= s.hi[bj]+s.tol {
+					if s.xB[leaveRow] >= s.lo[bj]-solveTol && s.xB[leaveRow] <= s.hi[bj]+solveTol {
 						repaired = true
 						break
 					}
@@ -295,7 +295,7 @@ func (s *solver) dualIterate() Status {
 					continue
 				}
 			}
-			if t <= s.tol {
+			if t <= solveTol {
 				s.degenerate++
 				stall++
 			} else {

@@ -378,50 +378,37 @@ func TestMutatorValidation(t *testing.T) {
 	}
 }
 
-// TestSetRHSPresolveEliminatedRow: a row presolve would eliminate as
-// redundant still accepts SetRHS on the original model, and the update
-// takes effect when it becomes binding — through both SolveWithPresolve
-// and a direct warm chain.
-func TestSetRHSPresolveEliminatedRow(t *testing.T) {
+// TestSetRHSRedundantRow: a row that starts redundant (it can never
+// bind) stays live in a warm chain, and tightening it with SetRHS takes
+// effect once it becomes binding.
+func TestSetRHSRedundantRow(t *testing.T) {
 	m := NewModel()
 	x := m.MustVar(0, 1, -1, "x") // maximize x via minimizing -x
 	y := m.MustVar(0, 1, -1, "y")
-	// Redundant at first: x + y <= 10 can never bind with x,y <= 1, so
-	// presolve drops it from the reduced model.
+	// Redundant at first: x + y <= 10 can never bind with x,y <= 1.
 	row := m.MustConstr([]Term{{x, 1}, {y, 1}}, LE, 10)
-	sol, err := SolveWithPresolve(m, Options{})
+	ws := NewWorkspace()
+	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
 	if err != nil || sol.Status != Optimal {
-		t.Fatalf("presolve solve: %v / %v", err, sol.Status)
+		t.Fatalf("warm-chain cold start: %v / %v", err, sol.Status)
 	}
 	if math.Abs(sol.Objective-(-2)) > 1e-8 {
 		t.Fatalf("objective %g, want -2", sol.Objective)
 	}
-	// Tighten the previously-eliminated row until it binds.
-	if err := m.SetRHS(row, 0.5); err != nil {
-		t.Fatalf("SetRHS on presolve-eliminated row: %v", err)
-	}
-	sol2, err := SolveWithPresolve(m, Options{})
-	if err != nil || sol2.Status != Optimal {
-		t.Fatalf("re-solve: %v / %v", err, sol2.Status)
-	}
-	if math.Abs(sol2.Objective-(-0.5)) > 1e-8 {
-		t.Errorf("objective %g after tightening, want -0.5", sol2.Objective)
-	}
-	// Same sweep through the warm path.
-	ws := NewWorkspace()
-	cold, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
-	if err != nil || cold.Status != Optimal {
-		t.Fatalf("warm-chain cold start: %v / %v", err, cold.Status)
-	}
-	if err := m.SetRHS(row, 1.25); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := m.Solve(Options{Workspace: ws, Warm: cold.Basis})
-	if err != nil || warm.Status != Optimal {
-		t.Fatalf("warm re-solve: %v / %v", err, warm.Status)
-	}
-	if math.Abs(warm.Objective-(-1.25)) > 1e-8 {
-		t.Errorf("warm objective %g, want -1.25", warm.Objective)
+	for _, rhs := range []float64{0.5, 1.25} {
+		if err := m.SetRHS(row, rhs); err != nil {
+			t.Fatal(err)
+		}
+		sol, err = m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: sol.Basis})
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("warm re-solve at %g: %v / %v", rhs, err, sol.Status)
+		}
+		if !sol.Warm {
+			t.Errorf("re-solve at %g fell back cold", rhs)
+		}
+		if math.Abs(sol.Objective+rhs) > 1e-8 {
+			t.Errorf("warm objective %g at rhs %g, want %g", sol.Objective, rhs, -rhs)
+		}
 	}
 }
 

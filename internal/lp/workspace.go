@@ -71,7 +71,6 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	}
 	s.nTotal = s.nStruct + s.nSlack + rows // artificials allocated up front
 	s.artStart = s.nStruct + s.nSlack
-	s.tol = opts.Tol
 	s.opts = opts
 	s.maxIt = opts.MaxIters
 	s.iters, s.pivotsTotal, s.degenerate, s.flips = 0, 0, 0, 0

@@ -139,13 +139,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 		reportWarmHitRate(b, reg)
 	})
 
-	// Floor reference: one cold planner (warm path and presolve off)
-	// behind a mutex — what serving costs without the parametric tier.
+	// Floor reference: one cold planner (warm path off) behind a mutex —
+	// what serving costs without the parametric tier.
 	b.Run("cold8", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		cfg := benchScenario(b, reg)
 		cfg.DisableWarm = true
-		cfg.DisablePresolve = true
 		pl, err := core.NewLPFilter(cfg)
 		if err != nil {
 			b.Fatal(err)
